@@ -25,7 +25,7 @@
 
 use crate::ports::{AtticBackend, Origin};
 use crate::webdav::DavCore;
-use hpop_http::h1;
+use hpop_http::h1::{self, FrameError};
 use hpop_http::message::{Response, StatusCode};
 use hpop_netsim::time::{SimDuration, SimTime};
 use hpop_resilience::deadline::Deadline;
@@ -75,7 +75,8 @@ pub struct DaemonStats {
     pub connections: u64,
     /// Requests served (any status).
     pub requests: u64,
-    /// Connections dropped on framing errors.
+    /// Connections dropped on framing errors (answered `400`, or `413`
+    /// when the declared body exceeds [`h1::MAX_BODY_BYTES`]).
     pub bad_frames: u64,
     /// Connections or pipelines refused with `503` + `Retry-After`
     /// because a cap ([`DaemonConfig::max_connections`] /
@@ -311,10 +312,13 @@ fn handle_connection<B: AtticBackend>(mut stream: TcpStream, shared: &Shared<B>)
                 }
                 Err(_) => return,
             },
-            Err(_) => {
+            Err(e) => {
                 shared.bad_frames.fetch_add(1, Ordering::SeqCst);
-                let resp = Response::new(StatusCode::BAD_REQUEST);
-                let _ = stream.write_all(&h1::encode_response(&resp));
+                let status = match e {
+                    FrameError::BodyTooLarge => StatusCode::PAYLOAD_TOO_LARGE,
+                    _ => StatusCode::BAD_REQUEST,
+                };
+                let _ = stream.write_all(&h1::encode_response(&Response::new(status)));
                 return;
             }
         }
@@ -383,11 +387,11 @@ mod tests {
         assert_eq!(stats.bad_frames, 0);
     }
 
-    #[test]
-    fn malformed_frames_get_400_and_close() {
+    /// Sends raw bytes and decodes the one response before the close.
+    fn reject(raw: &[u8]) -> (Response, DaemonStats) {
         let handle = spawn_daemon();
         let mut stream = TcpStream::connect(handle.addr()).unwrap();
-        stream.write_all(b"BREW /pot HTTP/1.1\r\n\r\n").unwrap();
+        stream.write_all(raw).unwrap();
         let mut buf = Vec::new();
         let mut scratch = [0u8; 1024];
         loop {
@@ -397,9 +401,27 @@ mod tests {
                 Err(_) => break,
             }
         }
-        let (resp, _) = h1::decode_response(&buf).unwrap().expect("a 400 came back");
+        let (resp, _) = h1::decode_response(&buf)
+            .unwrap()
+            .expect("a response came back");
+        (resp, handle.stop())
+    }
+
+    #[test]
+    fn malformed_frames_get_400_and_close() {
+        let (resp, stats) = reject(b"BREW /pot HTTP/1.1\r\n\r\n");
         assert_eq!(resp.status, StatusCode::BAD_REQUEST);
-        let stats = handle.stop();
+        assert_eq!(stats.bad_frames, 1);
+    }
+
+    #[test]
+    fn oversized_body_gets_413_before_it_is_sent() {
+        let head = format!(
+            "PUT /big HTTP/1.1\r\ncontent-length: {}\r\n\r\n",
+            h1::MAX_BODY_BYTES + 1
+        );
+        let (resp, stats) = reject(head.as_bytes());
+        assert_eq!(resp.status, StatusCode::PAYLOAD_TOO_LARGE);
         assert_eq!(stats.bad_frames, 1);
     }
 

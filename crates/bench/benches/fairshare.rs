@@ -22,22 +22,9 @@ use hpop_netsim::presets::{metro, MetroNetwork, MetroParams};
 use hpop_netsim::time::{SimDuration, SimTime};
 use hpop_netsim::units::Bandwidth;
 use hpop_obs::MetricsRegistry;
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 use std::time::Instant;
-
-/// xorshift64* — deterministic workload without pulling in `rand`.
-struct Rng(u64);
-
-impl Rng {
-    fn next(&mut self) -> u64 {
-        self.0 ^= self.0 >> 12;
-        self.0 ^= self.0 << 25;
-        self.0 ^= self.0 >> 27;
-        self.0.wrapping_mul(0x2545F4914F6CDD1D)
-    }
-    fn below(&mut self, n: u64) -> u64 {
-        self.next() % n
-    }
-}
 
 fn city_for(flows: usize) -> MetroNetwork {
     metro(&MetroParams {
@@ -48,10 +35,10 @@ fn city_for(flows: usize) -> MetroNetwork {
 
 /// The standing demand set: one uplink flow per pick, every 4th capped.
 fn demand_set(city: &MetroNetwork, n: usize) -> Vec<Demand> {
-    let mut rng = Rng(0x5EED ^ n as u64 | 1);
+    let mut rng = StdRng::seed_from_u64(0x5EED ^ n as u64);
     (0..n)
         .map(|i| {
-            let h = rng.below(city.home_count() as u64) as usize;
+            let h = rng.gen_range(0..city.home_count());
             Demand {
                 links: city.up_hops(h).to_vec(),
                 cap: (i % 4 == 0).then(|| Bandwidth::mbps(200.0)),
@@ -63,11 +50,11 @@ fn demand_set(city: &MetroNetwork, n: usize) -> Vec<Demand> {
 /// A `FlowNet` warmed with the same standing set; returns the net and
 /// the home picks so churn events can reuse the hops.
 fn warm_net(city: &MetroNetwork, n: usize) -> (FlowNet, Vec<usize>) {
-    let mut rng = Rng(0x5EED ^ n as u64 | 1);
+    let mut rng = StdRng::seed_from_u64(0x5EED ^ n as u64);
     let mut net = FlowNet::new(city.topology.clone());
     let mut picks = Vec::with_capacity(n);
     for i in 0..n {
-        let h = rng.below(city.home_count() as u64) as usize;
+        let h = rng.gen_range(0..city.home_count());
         net.start_on_hops(
             city.homes[h],
             city.backbone,

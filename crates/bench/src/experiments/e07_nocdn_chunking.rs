@@ -10,15 +10,44 @@
 use crate::table::{f2, pct, Table};
 use hpop_crypto::sha256::Sha256;
 use hpop_netsim::netsim::NetSim;
-use hpop_netsim::time::SimDuration;
+use hpop_netsim::time::{SimDuration, SimTime};
 use hpop_netsim::topology::TopologyBuilder;
 use hpop_netsim::units::{Bandwidth, MB};
-use hpop_nocdn::chunked::fetch_chunked;
 use hpop_nocdn::origin::ContentProvider;
 use hpop_nocdn::peer::{NoCdnPeer, PeerBehavior, PeerId};
+use hpop_nocdn::ResilientFetcher;
+use hpop_resilience::{AdmissionConfig, BreakerConfig, Deadline, HedgeConfig, RetryPolicy};
 use std::cell::RefCell;
 use std::collections::BTreeMap;
 use std::rc::Rc;
+
+/// The chunk protocol with every resilience mechanism off: breakers
+/// that never open, no retries, no hedge and unbounded admission, so
+/// chunk `i` comes from peer `i mod n` or, failing that, the origin.
+fn plain_fetcher() -> ResilientFetcher {
+    ResilientFetcher::with_admission(
+        BreakerConfig {
+            failure_threshold: u32::MAX,
+            ..BreakerConfig::default()
+        },
+        AdmissionConfig {
+            rate_per_sec: f64::INFINITY,
+            burst: f64::INFINITY,
+            initial_limit: f64::INFINITY,
+            max_limit: f64::INFINITY,
+            ..AdmissionConfig::default()
+        },
+        HedgeConfig {
+            min_trigger: SimDuration::MAX,
+            cold_trigger: SimDuration::MAX,
+            ..HedgeConfig::default()
+        },
+        RetryPolicy {
+            max_retries: 0,
+            ..RetryPolicy::default()
+        },
+    )
+}
 
 /// (a) Protocol containment: how much work a bad peer can waste.
 pub fn containment_table() -> Table {
@@ -52,7 +81,18 @@ pub fn containment_table() -> Table {
             })
             .collect();
         let order: Vec<PeerId> = (0..4).map(PeerId).collect();
-        let (report, _) = fetch_chunked("/big.bin", 8, &digest, &order, &mut peers, &mut origin);
+        let mut now = SimTime::ZERO;
+        let (report, _) = plain_fetcher().fetch(
+            "/big.bin",
+            8,
+            &digest,
+            &order,
+            &mut peers,
+            &mut origin,
+            Deadline::UNBOUNDED,
+            &mut now,
+            &|_| SimDuration::from_millis(1),
+        );
         t.push(vec![
             name.into(),
             if report.verified { "yes" } else { "NO" }.into(),

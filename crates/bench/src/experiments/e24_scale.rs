@@ -12,10 +12,13 @@
 //! - **allocator work per flow event** (flows re-solved and links
 //!   touched per start/completion/cancel).
 //!
-//! The pre-PR engine cost model ([`AllocMode::Global`]: settle every
-//! flow on every advance, re-solve every flow on every event, scan all
-//! flows for the next completion) runs the *same standing workload* at
-//! 1k and 100k homes, so the speedup is measured, not extrapolated.
+//! The pre-incremental engine re-ran the global progressive-filling
+//! oracle ([`max_min_rates`]) over every live flow on every start,
+//! cancel and completion. Each leg rebuilds its standing demand set at
+//! the end of warm-up and times that oracle over it, so the speedup is
+//! measured on the same standing workload, not extrapolated. The
+//! baseline leaves out the old engine's O(flows) settle and completion
+//! scan, so it understates the old per-event cost.
 //! `BENCH_BUDGETS.txt` enforces a ≥10× floor at 100k homes plus an
 //! allocator-work ceiling.
 //!
@@ -27,41 +30,28 @@
 //! Flow completions drain through the calendar-queue engine.
 
 use crate::table::{f2, Table};
+use hpop_netsim::fairshare::{max_min_rates, Demand};
 use hpop_netsim::netsim::NetSim;
 use hpop_netsim::presets::{metro, MetroNetwork, MetroParams};
 use hpop_netsim::time::{SimDuration, SimTime};
-use hpop_netsim::topology::DirLinkId;
+use hpop_netsim::topology::{DirLinkId, Topology};
 use hpop_netsim::units::{Bandwidth, KB};
-use hpop_netsim::{AllocMode, AllocStats, FlowId};
-use std::time::Instant;
+use hpop_netsim::{AllocStats, FlowId};
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
+use std::hint::black_box;
+use std::time::{Duration, Instant};
 
 /// Maintain-tick cadence of the workload driver.
 const TICK: SimDuration = SimDuration::from_nanos(10_000_000);
 
-/// xorshift64* — deterministic, seedable, no deps.
-struct Rng(u64);
-
-impl Rng {
-    fn new(seed: u64) -> Rng {
-        Rng(seed ^ 0x9E3779B97F4A7C15 | 1)
-    }
-    fn next(&mut self) -> u64 {
-        self.0 ^= self.0 >> 12;
-        self.0 ^= self.0 << 25;
-        self.0 ^= self.0 >> 27;
-        self.0.wrapping_mul(0x2545F4914F6CDD1D)
-    }
-    fn below(&mut self, n: u64) -> u64 {
-        self.next() % n
-    }
-}
+/// Wall time spent repeating the baseline solve (at least 3 solves).
+const BASELINE_WALL: Duration = Duration::from_millis(200);
 
 /// One measured point of the sweep.
 pub struct LegResult {
     /// City size (homes).
     pub homes: usize,
-    /// Engine under test.
-    pub mode: AllocMode,
     /// Simulated seconds covered by the measurement window.
     pub sim_secs: f64,
     /// Wall-clock seconds the window took.
@@ -72,6 +62,10 @@ pub struct LegResult {
     pub stats: AllocStats,
     /// Engine events executed in the window.
     pub engine_events: u64,
+    /// Flows live at the end of warm-up (the baseline's demand set).
+    pub baseline_flows: usize,
+    /// Median wall-ns of one global oracle solve over that set.
+    pub baseline_ns_per_event: f64,
 }
 
 impl LegResult {
@@ -87,49 +81,75 @@ impl LegResult {
     pub fn links_per_event(&self) -> f64 {
         self.stats.links_touched as f64 / self.flow_events.max(1) as f64
     }
+    /// Wall-ns per flow event of the incremental engine.
+    pub fn ns_per_event(&self) -> f64 {
+        self.wall_secs * 1e9 / self.flow_events.max(1) as f64
+    }
 }
+
+/// A flow the driver started: id, source home, destination home
+/// (`None` = backbone) and cap.
+type Issued = (FlowId, usize, Option<usize>, Option<Bandwidth>);
 
 struct Driver<'a> {
     city: &'a MetroNetwork,
-    rng: Rng,
+    rng: StdRng,
     target: usize,
     ring: Vec<FlowId>,
     buf: Vec<DirLinkId>,
+    /// Every flow started during warm-up; `None` once warm-up is over.
+    issued: Option<Vec<Issued>>,
 }
 
-impl Driver<'_> {
+impl<'a> Driver<'a> {
+    fn new(city: &'a MetroNetwork, seed: u64) -> Self {
+        Driver {
+            city,
+            rng: StdRng::seed_from_u64(seed),
+            target: (city.home_count() / 20).max(32),
+            ring: Vec::new(),
+            buf: Vec::new(),
+            issued: Some(Vec::new()),
+        }
+    }
+
     fn tick(&mut self, sim: &mut NetSim) {
-        let homes = self.city.home_count() as u64;
+        let homes = self.city.home_count();
         while sim.state.net.active_count() < self.target {
-            let a = self.rng.below(homes) as usize;
-            let bytes = (100 * KB) << self.rng.below(10);
-            let cap = if self.rng.below(4) == 0 {
+            let a = self.rng.gen_range(0..homes);
+            let bytes = (100 * KB) << self.rng.gen_range(0..10);
+            let cap = if self.rng.gen_range(0..4) == 0 {
                 Some(Bandwidth::mbps(200.0))
             } else {
                 None
             };
-            let id = if self.rng.below(3) == 0 {
-                let mut b = self.rng.below(homes) as usize;
+            let (id, dst) = if self.rng.gen_range(0..3) == 0 {
+                let mut b = self.rng.gen_range(0..homes);
                 if b == a {
-                    b = (b + 1) % homes as usize;
+                    b = (b + 1) % homes;
                 }
                 self.city.path_between(a, b, &mut self.buf);
-                sim.start_transfer_on_hops(
+                let id = sim.start_transfer_on_hops(
                     self.city.homes[a],
                     self.city.homes[b],
                     &self.buf,
                     bytes,
                     cap,
-                )
+                );
+                (id, Some(b))
             } else {
-                sim.start_transfer_on_hops(
+                let id = sim.start_transfer_on_hops(
                     self.city.homes[a],
                     self.city.backbone,
                     &self.city.up_hops(a),
                     bytes,
                     cap,
-                )
+                );
+                (id, None)
             };
+            if let Some(issued) = &mut self.issued {
+                issued.push((id, a, dst, cap));
+            }
             self.ring.push(id);
         }
         // Churn: cancel ~2% of the pool each tick. Stale ids (already
@@ -138,7 +158,7 @@ impl Driver<'_> {
             if self.ring.is_empty() {
                 break;
             }
-            let k = self.rng.below(self.ring.len() as u64) as usize;
+            let k = self.rng.gen_range(0..self.ring.len());
             let id = self.ring.swap_remove(k);
             sim.cancel_transfer(id);
         }
@@ -146,6 +166,41 @@ impl Driver<'_> {
             self.ring.drain(..self.target); // drop oldest (mostly done)
         }
     }
+
+    /// Ends warm-up: one oracle [`Demand`] per flow still live, its hops
+    /// recomputed from the endpoints the driver chose.
+    fn standing_demands(&mut self, sim: &NetSim) -> Vec<Demand> {
+        let issued = self.issued.take().unwrap_or_default();
+        issued
+            .into_iter()
+            .filter(|&(id, ..)| sim.state.net.rate(id).is_some())
+            .map(|(_, a, dst, cap)| {
+                let links = match dst {
+                    Some(b) => {
+                        let mut hops = Vec::new();
+                        self.city.path_between(a, b, &mut hops);
+                        hops
+                    }
+                    None => self.city.up_hops(a).to_vec(),
+                };
+                Demand { links, cap }
+            })
+            .collect()
+    }
+}
+
+/// Median wall-ns of one [`max_min_rates`] solve over `demands`: what
+/// the pre-incremental engine paid on every flow event.
+fn baseline_ns_per_event(topo: &Topology, demands: &[Demand]) -> f64 {
+    let mut samples = Vec::new();
+    let began = Instant::now();
+    while samples.len() < 3 || began.elapsed() < BASELINE_WALL {
+        let t = Instant::now();
+        black_box(max_min_rates(topo, black_box(demands)));
+        samples.push(t.elapsed().as_nanos() as f64);
+    }
+    samples.sort_unstable_by(f64::total_cmp);
+    samples[samples.len() / 2]
 }
 
 /// Runs ticks until `until`, topping the pool up at every tick.
@@ -162,32 +217,20 @@ fn drive(sim: &mut NetSim, d: &mut Driver<'_>, until: SimTime) {
     }
 }
 
-/// Runs one sweep point: warm the city up to its standing pool (always
-/// in incremental mode — the warm-up is not measured), optionally
-/// switch to the legacy global engine, then measure `run_sim_s`
-/// simulated seconds of the churn workload.
-pub fn run_leg(
-    homes: usize,
-    mode: AllocMode,
-    warm_sim_s: f64,
-    run_sim_s: f64,
-    seed: u64,
-) -> LegResult {
+/// Runs one sweep point: warm the city up to its standing pool (not
+/// measured), time the global oracle over the standing flows, then
+/// measure `run_sim_s` simulated seconds of the churn workload.
+pub fn run_leg(homes: usize, warm_sim_s: f64, run_sim_s: f64, seed: u64) -> LegResult {
     let city = metro(&MetroParams {
         homes,
         ..MetroParams::default()
     });
     let mut sim = NetSim::with_topology(city.topology.clone());
-    let mut d = Driver {
-        city: &city,
-        rng: Rng::new(seed),
-        target: (homes / 20).max(32),
-        ring: Vec::new(),
-        buf: Vec::new(),
-    };
+    let mut d = Driver::new(&city, seed);
     let warm_end = SimTime::from_nanos((warm_sim_s * 1e9) as u64);
     drive(&mut sim, &mut d, warm_end);
-    sim.set_alloc_mode(mode);
+    let demands = d.standing_demands(&sim);
+    let baseline_ns_per_event = baseline_ns_per_event(&city.topology, &demands);
 
     let m = sim.metrics();
     let events_before = m.counter("netsim.flows.started").get()
@@ -209,7 +252,6 @@ pub fn run_leg(
     let sb = stats_before;
     LegResult {
         homes,
-        mode,
         sim_secs: run_sim_s,
         wall_secs,
         flow_events: events_after - events_before,
@@ -224,13 +266,8 @@ pub fn run_leg(
             heap_pushes: sa.heap_pushes - sb.heap_pushes,
         },
         engine_events: sim.events_run() - engine_before,
-    }
-}
-
-fn mode_tag(mode: AllocMode) -> &'static str {
-    match mode {
-        AllocMode::Global => "glob",
-        AllocMode::Incremental => "inc",
+        baseline_flows: demands.len(),
+        baseline_ns_per_event,
     }
 }
 
@@ -239,82 +276,74 @@ fn report(legs: &[LegResult]) -> Vec<Table> {
     let metrics = hpop_obs::metrics();
     let mut t = Table::new(
         "E24",
-        "Metro-scale sweep: sim-s/wall-s and allocator work per flow event",
+        "Metro-scale sweep: sim-s/wall-s, allocator work and ns per flow event vs the global oracle",
         &[
             "homes",
-            "engine",
             "sim_s",
             "wall_s",
             "sim_s/wall_s",
             "flow_events",
             "flows_resolved/event",
             "links_touched/event",
+            "ns/event",
+            "oracle_flows",
+            "oracle_ns/event",
+            "speedup",
         ],
     );
     for leg in legs {
-        let tag = mode_tag(leg.mode);
+        let speedup = leg.baseline_ns_per_event / leg.ns_per_event().max(1e-9);
         t.push(vec![
             leg.homes.to_string(),
-            tag.into(),
             f2(leg.sim_secs),
             f2(leg.wall_secs),
             f2(leg.sims_per_wall()),
             leg.flow_events.to_string(),
             f2(leg.flows_resolved_per_event()),
             f2(leg.links_per_event()),
+            format!("{:.0}", leg.ns_per_event()),
+            leg.baseline_flows.to_string(),
+            format!("{:.0}", leg.baseline_ns_per_event),
+            format!("{speedup:.1}"),
         ]);
-        let p = format!("scale.n{}.{}", leg.homes, tag);
-        metrics
-            .counter(&format!("{p}.sims_per_wall_x1000"))
-            .add((leg.sims_per_wall() * 1e3) as u64);
-        metrics
-            .counter(&format!("{p}.flow_events"))
-            .add(leg.flow_events);
-        metrics
-            .counter(&format!("{p}.links_per_event_x1000"))
-            .add((leg.links_per_event() * 1e3) as u64);
-        metrics
-            .counter(&format!("{p}.flows_resolved_per_event_x1000"))
-            .add((leg.flows_resolved_per_event() * 1e3) as u64);
-    }
-    // Measured speedup wherever both engines ran the same city.
-    for g in legs.iter().filter(|l| l.mode == AllocMode::Global) {
-        if let Some(i) = legs
-            .iter()
-            .find(|l| l.homes == g.homes && l.mode == AllocMode::Incremental)
-        {
-            let speedup = i.sims_per_wall() / g.sims_per_wall().max(1e-12);
-            metrics
-                .counter(&format!("scale.n{}.speedup_x10", g.homes))
-                .add((speedup * 10.0) as u64);
-        }
+        let p = format!("scale.n{}", leg.homes);
+        let put = |name: &str, v: u64| metrics.counter(&format!("{p}.{name}")).add(v);
+        put("glob.ns_per_event", leg.baseline_ns_per_event as u64);
+        put("glob.flows", leg.baseline_flows as u64);
+        put("inc.ns_per_event", leg.ns_per_event() as u64);
+        put(
+            "inc.sims_per_wall_x1000",
+            (leg.sims_per_wall() * 1e3) as u64,
+        );
+        put("inc.flow_events", leg.flow_events);
+        put(
+            "inc.links_per_event_x1000",
+            (leg.links_per_event() * 1e3) as u64,
+        );
+        put(
+            "inc.flows_resolved_per_event_x1000",
+            (leg.flows_resolved_per_event() * 1e3) as u64,
+        );
+        put("speedup_x10", (speedup * 10.0) as u64);
     }
     vec![t]
 }
 
-/// Full sweep: before/after at 1k, the new engine at 10k/100k/1M, and
-/// the legacy engine re-measured at 100k on the same standing workload
-/// (a short window — it simulates ~3 orders of magnitude slower).
+/// Full sweep: 1k/10k/100k/1M homes, each timed against the global
+/// oracle on its own standing workload.
 pub fn run_default() -> Vec<Table> {
     let legs = vec![
-        run_leg(1_000, AllocMode::Global, 2.0, 5.0, 24),
-        run_leg(1_000, AllocMode::Incremental, 2.0, 5.0, 24),
-        run_leg(10_000, AllocMode::Incremental, 1.0, 3.0, 24),
-        run_leg(100_000, AllocMode::Global, 1.0, 0.02, 24),
-        run_leg(100_000, AllocMode::Incremental, 1.0, 2.0, 24),
-        run_leg(1_000_000, AllocMode::Incremental, 0.3, 1.0, 24),
+        run_leg(1_000, 2.0, 5.0, 24),
+        run_leg(10_000, 1.0, 3.0, 24),
+        run_leg(100_000, 1.0, 2.0, 24),
+        run_leg(1_000_000, 0.3, 1.0, 24),
     ];
     report(&legs)
 }
 
-/// CI smoke preset (≤10k homes, un-pinned): before/after at 1k plus a
-/// 10k point, small windows.
+/// CI smoke preset (≤10k homes, un-pinned): 1k and 10k, small windows.
 pub fn run_smoke() -> Vec<Table> {
-    let legs = vec![
-        run_leg(1_000, AllocMode::Global, 0.5, 1.0, 24),
-        run_leg(1_000, AllocMode::Incremental, 0.5, 1.0, 24),
-        run_leg(10_000, AllocMode::Incremental, 0.5, 1.0, 24),
-    ];
+    let legs = vec![run_leg(1_000, 0.5, 1.0, 24), run_leg(10_000, 0.5, 1.0, 24)];
     report(&legs)
 }
 
@@ -324,7 +353,7 @@ mod tests {
 
     #[test]
     fn tiny_leg_runs_and_counts_work() {
-        let leg = run_leg(640, AllocMode::Incremental, 0.1, 0.2, 7);
+        let leg = run_leg(640, 0.1, 0.2, 7);
         assert_eq!(leg.homes, 640);
         assert!(leg.flow_events > 0, "workload produced no flow events");
         assert!(leg.stats.reallocations > 0);
@@ -332,9 +361,20 @@ mod tests {
     }
 
     #[test]
-    fn global_leg_runs_on_same_workload() {
-        let leg = run_leg(640, AllocMode::Global, 0.1, 0.1, 7);
-        assert!(leg.flow_events > 0);
-        assert!(leg.stats.full_resolves > 0, "global mode re-solves fully");
+    fn baseline_solves_the_standing_flow_set() {
+        let city = metro(&MetroParams {
+            homes: 640,
+            ..MetroParams::default()
+        });
+        let mut sim = NetSim::with_topology(city.topology.clone());
+        let mut d = Driver::new(&city, 7);
+        drive(&mut sim, &mut d, SimTime::from_nanos(100_000_000));
+        let demands = d.standing_demands(&sim);
+        assert!(!demands.is_empty());
+        assert_eq!(demands.len(), sim.state.net.active_count());
+        assert!(d.issued.is_none(), "recording stops after warm-up");
+        let rates = max_min_rates(&city.topology, &demands);
+        assert!(rates.iter().all(|&r| r > 0.0 && r.is_finite()));
+        assert!(baseline_ns_per_event(&city.topology, &demands) > 0.0);
     }
 }

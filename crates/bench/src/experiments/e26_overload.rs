@@ -54,6 +54,8 @@ use hpop_resilience::{
     Admission, AdmissionConfig, BoundedQueue, Brownout, BrownoutLevel, LoadShedder, WorkClass,
 };
 use hpop_workloads::{FlashCrowd, FlashCrowdParams};
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 
 /// One queueing tick of the service model.
 const TICK_MS: u64 = 100;
@@ -86,25 +88,6 @@ const PLATEAU_FIRST: u64 = PRE_TICKS + 100;
 const PLATEAU_END: u64 = PLATEAU_FIRST + 600;
 /// Bounded interactive queue depth (controls on).
 const QUEUE_CAP: usize = 24;
-
-/// xorshift64* — deterministic, seedable, no deps.
-struct Rng(u64);
-
-impl Rng {
-    fn new(seed: u64) -> Rng {
-        Rng(seed ^ 0x9E3779B97F4A7C15 | 1)
-    }
-    fn next(&mut self) -> u64 {
-        self.0 ^= self.0 >> 12;
-        self.0 ^= self.0 << 25;
-        self.0 ^= self.0 >> 27;
-        self.0.wrapping_mul(0x2545F4914F6CDD1D)
-    }
-    /// Uniform in `[0, 1)`.
-    fn unit(&mut self) -> f64 {
-        (self.next() >> 11) as f64 / (1u64 << 53) as f64
-    }
-}
 
 /// The three measurement windows.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -299,7 +282,7 @@ pub fn run_city(homes: usize, controls: bool) -> RunResult {
         })
         .collect();
     let mut shedder = LoadShedder::default();
-    let mut rng = Rng::new(0xE26 + controls as u64);
+    let mut rng = StdRng::seed_from_u64(0xE26 + controls as u64);
 
     let mut result = RunResult {
         controls,
@@ -377,7 +360,7 @@ pub fn run_city(homes: usize, controls: bool) -> RunResult {
                         result.plateau.offered += 1;
                     }
                 }
-                let head = epicenter && rng.unit() < head_mass * intensity;
+                let head = epicenter && rng.gen::<f64>() < head_mass * intensity;
                 let mut admitted = false;
                 if controls {
                     // The reject rung refuses before spending tokens.
@@ -421,13 +404,13 @@ pub fn run_city(homes: usize, controls: bool) -> RunResult {
             while units > 0.0 {
                 let Some(req) = hood.queue.pop() else { break };
                 let hit_p = if req.head { hood.warmth } else { HIT_BASE };
-                let hit = rng.unit() < hit_p;
+                let hit = rng.gen::<f64>() < hit_p;
                 let (cost, svc_ms) = if hit {
                     (0.5, 50)
                 } else if controls
                     && level >= BrownoutLevel::StaleAllowed
                     && level < BrownoutLevel::RedirectOrigin
-                    && rng.unit() < STALE_AVAILABLE
+                    && rng.gen::<f64>() < STALE_AVAILABLE
                 {
                     // The stale rung: a slightly old copy for half the
                     // work of a lateral / origin fetch.

@@ -20,12 +20,15 @@ pub enum FrameError {
     BadStartLine,
     /// A header line is missing the `:` separator or is not UTF-8.
     BadHeader,
-    /// `Content-Length` is present but unparseable.
+    /// `Content-Length` is unparseable, or repeated with different
+    /// values (RFC 9112 §6.3).
     BadContentLength,
     /// An unsupported method token.
     BadMethod,
     /// Headers exceed the hard cap (defense against unbounded buffers).
     TooLarge,
+    /// The declared body exceeds [`MAX_BODY_BYTES`].
+    BodyTooLarge,
 }
 
 impl std::fmt::Display for FrameError {
@@ -36,6 +39,7 @@ impl std::fmt::Display for FrameError {
             FrameError::BadContentLength => "malformed content-length",
             FrameError::BadMethod => "unsupported method",
             FrameError::TooLarge => "header block too large",
+            FrameError::BodyTooLarge => "body too large",
         };
         f.write_str(s)
     }
@@ -46,6 +50,11 @@ impl std::error::Error for FrameError {}
 /// Hard cap on the header block; a home appliance has no business
 /// accepting megabyte header sections.
 pub const MAX_HEADER_BYTES: usize = 16 * 1024;
+
+/// Hard cap on a declared body. Checked as soon as the header block
+/// has arrived, so a reader never buffers toward a body it will not
+/// accept.
+pub const MAX_BODY_BYTES: usize = 16 * 1024 * 1024;
 
 /// Serializes a request for the wire. `Content-Length` is always
 /// emitted (0 for bodiless requests) so the peer never needs
@@ -99,7 +108,7 @@ fn header_end(buf: &[u8]) -> Option<usize> {
 /// header map and the declared content length.
 fn parse_headers(block: &str) -> Result<(Headers, usize), FrameError> {
     let mut headers = Headers::new();
-    let mut content_length = 0usize;
+    let mut content_length = None;
     for line in block.split("\r\n").filter(|l| !l.is_empty()) {
         let (name, value) = line.split_once(':').ok_or(FrameError::BadHeader)?;
         let name = name.trim();
@@ -108,9 +117,17 @@ fn parse_headers(block: &str) -> Result<(Headers, usize), FrameError> {
             return Err(FrameError::BadHeader);
         }
         if name.eq_ignore_ascii_case("content-length") {
-            content_length = value.parse().map_err(|_| FrameError::BadContentLength)?;
+            let len = value.parse().map_err(|_| FrameError::BadContentLength)?;
+            if content_length.is_some_and(|prev| prev != len) {
+                return Err(FrameError::BadContentLength);
+            }
+            content_length = Some(len);
         }
         headers.set(name, value);
+    }
+    let content_length = content_length.unwrap_or(0);
+    if content_length > MAX_BODY_BYTES {
+        return Err(FrameError::BodyTooLarge);
     }
     Ok((headers, content_length))
 }
@@ -145,7 +162,9 @@ pub fn decode_request(buf: &[u8]) -> Result<Option<(Request, usize)>, FrameError
     }
     let method = Method::parse(method).ok_or(FrameError::BadMethod)?;
     let (headers, content_length) = parse_headers(rest)?;
-    let total = head_len + content_length;
+    let total = head_len
+        .checked_add(content_length)
+        .ok_or(FrameError::BodyTooLarge)?;
     if buf.len() < total {
         return Ok(None);
     }
@@ -181,7 +200,9 @@ pub fn decode_response(buf: &[u8]) -> Result<Option<(Response, usize)>, FrameErr
         .and_then(|c| c.parse::<u16>().ok())
         .ok_or(FrameError::BadStartLine)?;
     let (headers, content_length) = parse_headers(rest)?;
-    let total = head_len + content_length;
+    let total = head_len
+        .checked_add(content_length)
+        .ok_or(FrameError::BodyTooLarge)?;
     if buf.len() < total {
         return Ok(None);
     }
@@ -263,6 +284,52 @@ mod tests {
         );
         let huge = vec![b'a'; MAX_HEADER_BYTES + 10];
         assert_eq!(decode_request(&huge).unwrap_err(), FrameError::TooLarge);
+    }
+
+    #[test]
+    fn huge_content_length_is_rejected_not_overflowed() {
+        let req = b"PUT /x HTTP/1.1\r\ncontent-length: 18446744073709551615\r\n\r\n";
+        assert_eq!(decode_request(req).unwrap_err(), FrameError::BodyTooLarge);
+        let resp = b"HTTP/1.1 200 OK\r\ncontent-length: 18446744073709551615\r\n\r\n";
+        assert_eq!(decode_response(resp).unwrap_err(), FrameError::BodyTooLarge);
+    }
+
+    #[test]
+    fn conflicting_content_lengths_are_rejected() {
+        let req = b"PUT /x HTTP/1.1\r\ncontent-length: 3\r\ncontent-length: 5\r\n\r\nabcde";
+        assert_eq!(
+            decode_request(req).unwrap_err(),
+            FrameError::BadContentLength
+        );
+        let resp = b"HTTP/1.1 200 OK\r\nContent-Length: 5\r\ncontent-length: 3\r\n\r\nabcde";
+        assert_eq!(
+            decode_response(resp).unwrap_err(),
+            FrameError::BadContentLength
+        );
+        // Repeating the same value is not a conflict.
+        let same = b"PUT /x HTTP/1.1\r\ncontent-length: 3\r\ncontent-length: 3\r\n\r\nabc";
+        let (back, consumed) = decode_request(same).unwrap().unwrap();
+        assert_eq!((&back.body[..], consumed), (&b"abc"[..], same.len()));
+    }
+
+    #[test]
+    fn oversized_body_is_rejected_once_headers_arrive() {
+        let over = MAX_BODY_BYTES + 1;
+        // Only the header block has arrived: the verdict must not wait
+        // for the body.
+        let req = format!("PUT /x HTTP/1.1\r\ncontent-length: {over}\r\n\r\n");
+        assert_eq!(
+            decode_request(req.as_bytes()).unwrap_err(),
+            FrameError::BodyTooLarge
+        );
+        let resp = format!("HTTP/1.1 200 OK\r\ncontent-length: {over}\r\n\r\n");
+        assert_eq!(
+            decode_response(resp.as_bytes()).unwrap_err(),
+            FrameError::BodyTooLarge
+        );
+        // A body at the cap is still only incomplete.
+        let at_cap = format!("PUT /x HTTP/1.1\r\ncontent-length: {MAX_BODY_BYTES}\r\n\r\n");
+        assert!(decode_request(at_cap.as_bytes()).unwrap().is_none());
     }
 
     #[test]

@@ -102,6 +102,7 @@ impl StatusCode {
     pub const METHOD_NOT_ALLOWED: StatusCode = StatusCode(405);
     pub const CONFLICT: StatusCode = StatusCode(409);
     pub const PRECONDITION_FAILED: StatusCode = StatusCode(412);
+    pub const PAYLOAD_TOO_LARGE: StatusCode = StatusCode(413);
     pub const UNSUPPORTED_MEDIA_TYPE: StatusCode = StatusCode(415);
     pub const RANGE_NOT_SATISFIABLE: StatusCode = StatusCode(416);
     pub const LOCKED: StatusCode = StatusCode(423);
@@ -130,6 +131,7 @@ impl StatusCode {
             405 => "Method Not Allowed",
             409 => "Conflict",
             412 => "Precondition Failed",
+            413 => "Payload Too Large",
             415 => "Unsupported Media Type",
             416 => "Range Not Satisfiable",
             423 => "Locked",

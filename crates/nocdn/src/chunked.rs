@@ -37,134 +37,6 @@ pub struct ChunkedReport {
     pub verified: bool,
 }
 
-/// Fetches one object in `n` range chunks, each from the next peer in
-/// `peers` (round-robin). Chunks from bad peers are detected by the
-/// whole-object hash; on failure the object is re-fetched chunk-by-chunk
-/// with per-chunk comparison against the origin (the "problematic peer"
-/// containment the paper wants: only the bad chunk is re-fetched).
-///
-/// # Panics
-///
-/// Panics if `peers` is empty or the object is unknown at the origin.
-pub fn fetch_chunked(
-    path: &str,
-    n_chunks: usize,
-    expected: &Digest,
-    peer_order: &[PeerId],
-    peers: &mut BTreeMap<PeerId, NoCdnPeer>,
-    origin: &mut ContentProvider,
-) -> (ChunkedReport, Bytes) {
-    assert!(!peer_order.is_empty(), "need at least one peer");
-    let total = origin
-        .peek_object(path)
-        .unwrap_or_else(|| panic!("unknown object {path}"))
-        .len() as u64;
-    let mut report = ChunkedReport::default();
-    if total == 0 {
-        report.verified = Sha256::digest(b"").ct_eq(expected);
-        return (report, Bytes::new());
-    }
-    let ranges = ByteRange::split(total, n_chunks);
-    let host = origin.host().to_owned();
-    let mut assembled = Vec::with_capacity(total as usize);
-    let mut sources: Vec<(ByteRange, Option<PeerId>)> = Vec::new();
-    for (i, range) in ranges.iter().enumerate() {
-        let peer_id = peer_order[i % peer_order.len()];
-        // A peer serves the whole object from its cache and the client
-        // takes the range (peers are plain proxies honoring Range).
-        let chunk = peers
-            .get_mut(&peer_id)
-            .and_then(|p| p.serve(&host, path, origin))
-            .map(|body| slice_range(&body, range));
-        match chunk {
-            Some(c) => {
-                let m = hpop_obs::metrics();
-                m.counter("nocdn.chunks.from_peer").incr();
-                m.histogram("nocdn.chunk.bytes").record(c.len() as u64);
-                event!(
-                    hpop_obs::tracer(),
-                    0,
-                    "nocdn",
-                    "chunk.fetch",
-                    path = path,
-                    peer = peer_id.0,
-                    bytes = c.len() as u64
-                );
-                assembled.extend_from_slice(&c);
-                sources.push((*range, Some(peer_id)));
-            }
-            None => {
-                let full = origin.fetch_object(path).expect("checked above");
-                let c = slice_range(&full, range);
-                let m = hpop_obs::metrics();
-                m.counter("nocdn.chunks.from_origin").incr();
-                m.histogram("nocdn.chunk.bytes").record(c.len() as u64);
-                assembled.extend_from_slice(&c);
-                sources.push((*range, None));
-                report.fallback_chunks += 1;
-            }
-        }
-    }
-
-    let verify_hist = hpop_obs::metrics().histogram("nocdn.chunk.verify_ns");
-    let verify_guard = hpop_obs::span!(verify_hist);
-    let whole_ok = Sha256::digest(&assembled).ct_eq(expected);
-    drop(verify_guard);
-    event!(
-        hpop_obs::tracer(),
-        0,
-        "nocdn",
-        "chunk.verify",
-        path = path,
-        ok = whole_ok,
-        chunks = sources.len() as u64
-    );
-    if whole_ok {
-        hpop_obs::metrics().counter("nocdn.verify.ok").incr();
-        for (range, src) in &sources {
-            if let Some(p) = src {
-                *report.bytes_per_peer.entry(p.0).or_default() += range.len();
-            }
-        }
-        report.verified = true;
-        return (report, Bytes::from(assembled));
-    }
-
-    // Some chunk was corrupted: identify and replace bad chunks against
-    // the authentic object, charging only honest peers for their bytes.
-    hpop_obs::metrics().counter("nocdn.verify.failed").incr();
-    let authentic = origin.fetch_object(path).expect("checked above");
-    let mut repaired = Vec::with_capacity(total as usize);
-    for (range, src) in &sources {
-        let start = range.start as usize;
-        let end = (range.end + 1) as usize;
-        let truth = &authentic[start..end];
-        // `get` (not indexing): a misbehaving peer may have served a
-        // short body, leaving the assembly truncated mid-chunk.
-        let got = assembled.get(start..end);
-        if got == Some(truth) {
-            if let Some(p) = src {
-                *report.bytes_per_peer.entry(p.0).or_default() += range.len();
-            }
-            repaired.extend_from_slice(truth);
-        } else {
-            hpop_obs::metrics().counter("nocdn.chunks.repaired").incr();
-            if let Some(p) = src {
-                if !report.corrupt_peers.contains(&p.0) {
-                    report.corrupt_peers.push(p.0);
-                }
-            }
-            report.fallback_chunks += 1;
-            repaired.extend_from_slice(truth);
-        }
-    }
-    // Re-verify the *whole object* after reassembly from repaired
-    // chunks — per-chunk equality against the origin is necessary but
-    // not sufficient (it cannot catch misassembly across boundaries).
-    report.verified = Sha256::digest(&repaired).ct_eq(expected);
-    (report, Bytes::from(repaired))
-}
-
 fn slice_range(body: &Bytes, range: &ByteRange) -> Bytes {
     let end = (range.end + 1).min(body.len() as u64) as usize;
     body.slice((range.start as usize).min(end)..end)
@@ -253,8 +125,11 @@ impl ResilientFetcher {
     /// times). The clock `*now` advances by backoff pauses and by each
     /// winning chunk's service latency.
     ///
-    /// Unlike [`fetch_chunked`], an empty `peer_order` is not an error:
-    /// every chunk simply falls back to the origin.
+    /// An empty `peer_order` is not an error: every chunk simply falls
+    /// back to the origin. With breakers that never open, no retries, a
+    /// hedge trigger of [`SimDuration::MAX`] and unbounded admission,
+    /// this is the plain protocol: chunk `i` from peer `i mod n`, one
+    /// attempt, origin fallback.
     ///
     /// # Panics
     ///
@@ -547,11 +422,61 @@ mod tests {
         (0..n).map(PeerId).collect()
     }
 
+    fn flat_latency(_: PeerId) -> SimDuration {
+        SimDuration::from_millis(1)
+    }
+
+    /// One attempt per chunk against peer `i mod n`, origin fallback:
+    /// breakers never open, no retries, no hedge, unbounded admission.
+    fn fetch_plain(
+        path: &str,
+        n_chunks: usize,
+        expected: &Digest,
+        peer_order: &[PeerId],
+        peers: &mut BTreeMap<PeerId, NoCdnPeer>,
+        origin: &mut ContentProvider,
+    ) -> (ChunkedReport, Bytes) {
+        let mut f = ResilientFetcher::with_admission(
+            BreakerConfig {
+                failure_threshold: u32::MAX,
+                ..BreakerConfig::default()
+            },
+            AdmissionConfig {
+                rate_per_sec: f64::INFINITY,
+                burst: f64::INFINITY,
+                initial_limit: f64::INFINITY,
+                max_limit: f64::INFINITY,
+                ..AdmissionConfig::default()
+            },
+            HedgeConfig {
+                min_trigger: SimDuration::MAX,
+                cold_trigger: SimDuration::MAX,
+                ..HedgeConfig::default()
+            },
+            RetryPolicy {
+                max_retries: 0,
+                ..RetryPolicy::default()
+            },
+        );
+        let mut now = SimTime::ZERO;
+        f.fetch(
+            path,
+            n_chunks,
+            expected,
+            peer_order,
+            peers,
+            origin,
+            Deadline::UNBOUNDED,
+            &mut now,
+            &flat_latency,
+        )
+    }
+
     #[test]
     fn spreads_load_across_peers() {
         let (mut origin, mut peers, digest) = setup(&[PeerBehavior::Honest; 4]);
         let (report, body) =
-            fetch_chunked("/big.bin", 8, &digest, &order(4), &mut peers, &mut origin);
+            fetch_plain("/big.bin", 8, &digest, &order(4), &mut peers, &mut origin);
         assert!(report.verified);
         assert_eq!(body.len(), 100_000);
         assert_eq!(report.bytes_per_peer.len(), 4);
@@ -570,7 +495,7 @@ mod tests {
             PeerBehavior::Honest,
         ]);
         let (report, body) =
-            fetch_chunked("/big.bin", 8, &digest, &order(4), &mut peers, &mut origin);
+            fetch_plain("/big.bin", 8, &digest, &order(4), &mut peers, &mut origin);
         assert!(report.verified);
         assert_eq!(body.len(), 100_000);
         // Peer 1's chunks were repaired; it earned nothing.
@@ -586,7 +511,7 @@ mod tests {
         let (mut origin, mut peers, digest) =
             setup(&[PeerBehavior::Honest, PeerBehavior::Unresponsive]);
         let (report, body) =
-            fetch_chunked("/big.bin", 4, &digest, &order(2), &mut peers, &mut origin);
+            fetch_plain("/big.bin", 4, &digest, &order(2), &mut peers, &mut origin);
         assert!(report.verified);
         assert_eq!(body.len(), 100_000);
         assert_eq!(report.fallback_chunks, 2);
@@ -596,15 +521,18 @@ mod tests {
     #[test]
     fn whole_object_path_matches_chunked_result() {
         let (mut origin, mut peers, digest) = setup(&[PeerBehavior::Honest]);
-        let (_, body) = fetch_chunked("/big.bin", 1, &digest, &order(1), &mut peers, &mut origin);
+        let (_, body) = fetch_plain("/big.bin", 1, &digest, &order(1), &mut peers, &mut origin);
         assert_eq!(&body[..], &origin.peek_object("/big.bin").unwrap()[..]);
     }
 
     #[test]
-    #[should_panic(expected = "at least one peer")]
-    fn empty_peer_order_panics() {
+    fn empty_peer_order_falls_back_to_origin() {
         let (mut origin, mut peers, digest) = setup(&[PeerBehavior::Honest]);
-        fetch_chunked("/big.bin", 4, &digest, &[], &mut peers, &mut origin);
+        let (report, body) = fetch_plain("/big.bin", 4, &digest, &[], &mut peers, &mut origin);
+        assert!(report.verified);
+        assert_eq!(report.fallback_chunks, 4);
+        assert!(report.bytes_per_peer.is_empty());
+        assert_eq!(&body[..], &origin.peek_object("/big.bin").unwrap()[..]);
     }
 
     #[test]
@@ -612,17 +540,13 @@ mod tests {
         let (mut origin, mut peers, digest) =
             setup(&[PeerBehavior::Honest, PeerBehavior::Truncates]);
         let (report, body) =
-            fetch_chunked("/big.bin", 4, &digest, &order(2), &mut peers, &mut origin);
+            fetch_plain("/big.bin", 4, &digest, &order(2), &mut peers, &mut origin);
         assert!(report.verified);
         assert_eq!(body.len(), 100_000);
         assert!(report.corrupt_peers.contains(&1));
     }
 
-    // --- ResilientFetcher ---
-
-    fn flat_latency(_: PeerId) -> SimDuration {
-        SimDuration::from_millis(1)
-    }
+    // --- ResilientFetcher with its resilience stack on ---
 
     fn resilient() -> ResilientFetcher {
         ResilientFetcher::default()
